@@ -8,9 +8,8 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
-#include "core/scan.h"
-#include "core/significance.h"
 
 namespace sfa {
 
@@ -31,9 +30,14 @@ int Main() {
     bytes[i] = rng.Bernoulli(zone.Contains(pts[i]) ? 0.56 : 0.5) ? 1 : 0;
   }
   const core::Labels observed = core::Labels::FromBytes(bytes);
-  std::vector<uint64_t> scratch;
-  const double tau = core::ScanMaxStatistic(
-      **family, observed, stats::ScanDirection::kTwoSided, &scratch);
+  const core::BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                               observed.size(),
+                                               observed.positive_count());
+  core::AuditScratch scratch;
+  const double tau = statistic
+                         .ScanObserved(**family, observed.bytes().data(),
+                                       observed.size(), &scratch)
+                         .max_llr;
   std::printf("observed tau = %.3f\n\n", tau);
   std::printf("  %8s | %12s | %12s | %12s\n", "worlds", "critical", "MC p-value",
               "Gumbel p");
@@ -41,9 +45,7 @@ int Main() {
     core::MonteCarloOptions mc;
     mc.num_worlds = worlds;
     mc.seed = 2024;
-    auto dist = core::SimulateNull(**family, observed.positive_rate(),
-                                   observed.positive_count(),
-                                   stats::ScanDirection::kTwoSided, mc);
+    auto dist = core::SimulateNull(statistic, **family, mc);
     SFA_CHECK_OK(dist.status());
     auto gumbel_p = dist->GumbelPValue(tau);
     std::printf("  %8u | %12.3f | %12.4f | %12.4f\n", worlds,

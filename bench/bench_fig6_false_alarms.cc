@@ -9,10 +9,8 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "core/audit.h"
-#include "core/scan.h"
+#include "core/bernoulli_statistic.h"
 #include "core/square_family.h"
-#include "core/significance.h"
 
 namespace sfa {
 namespace {
@@ -60,8 +58,9 @@ int Main() {
   // Null calibration once (shared across the audit trials below).
   core::MonteCarloOptions mc;
   mc.num_worlds = bench::NumWorlds();
-  auto null_dist = core::SimulateNull(**family, kRho, kOutcomes / 2,
-                                      stats::ScanDirection::kTwoSided, mc);
+  const core::BernoulliScanStatistic null_statistic(
+      stats::ScanDirection::kTwoSided, kOutcomes, kOutcomes / 2);
+  auto null_dist = core::SimulateNull(null_statistic, **family, mc);
   SFA_CHECK_OK(null_dist.status());
   const double critical = null_dist->CriticalValue(bench::kAlpha);
 
@@ -69,22 +68,22 @@ int Main() {
   const int worlds = bench::QuickMode() ? 100 : 400;
   int with_cluster = 0;
   int audit_rejections = 0;
-  std::vector<uint64_t> scratch;
+  core::AuditScratch scratch;
   for (int w = 0; w < worlds; ++w) {
     const core::Labels labels = core::Labels::SampleBernoulli(kOutcomes, kRho, &rng);
+    const core::BernoulliScanStatistic statistic(
+        stats::ScanDirection::kTwoSided, kOutcomes, labels.positive_count());
+    const core::ScanResult scan = statistic.ScanObserved(
+        **family, labels.bytes().data(), kOutcomes, &scratch);
     // (1) Does a >=5-negative, 0-positive region exist?
-    std::vector<uint64_t> positives;
-    (*family)->CountPositives(labels, &positives);
     bool found = false;
     for (size_t r = 0; r < (*family)->num_regions() && !found; ++r) {
       const uint64_t n = (*family)->PointCount(r);
-      found = n >= 5 && positives[r] == 0;
+      found = n >= 5 && scan.positives[r] == 0;
     }
     with_cluster += found;
     // (2) Does the audit (correctly) decline to call the world unfair?
-    const double tau = core::ScanMaxStatistic(
-        **family, labels, stats::ScanDirection::kTwoSided, &scratch);
-    if (null_dist->PValue(tau) <= bench::kAlpha) ++audit_rejections;
+    if (null_dist->PValue(scan.max_llr) <= bench::kAlpha) ++audit_rejections;
   }
 
   std::printf("\n");

@@ -7,10 +7,10 @@
 #include <memory>
 
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/labels.h"
-#include "core/scan.h"
 #include "core/significance.h"
 #include "core/square_family.h"
 #include "spatial/bitvector.h"
@@ -32,6 +32,42 @@ std::vector<geo::Point> Cloud(size_t n, uint64_t seed = 11) {
     }
   }
   return pts;
+}
+
+/// The two-sided binary statistic over `n` points at the benchmarks' null
+/// rate ρ = 0.62.
+core::BernoulliScanStatistic BenchStatistic(size_t n) {
+  return core::BernoulliScanStatistic(stats::ScanDirection::kTwoSided, n,
+                                      n * 62 / 100, 0.62);
+}
+
+/// One calibration of `family` per benchmark iteration: through the engine
+/// (SimulateNull), or, when `reference` is set, one world at a time through
+/// the per-world reference oracle (fresh buffers, scalar counting).
+void RunCalibration(benchmark::State& state, const core::RegionFamily& family,
+                    const core::MonteCarloOptions& mc, bool reference) {
+  const core::BernoulliScanStatistic statistic =
+      BenchStatistic(family.num_points());
+  for (auto _ : state) {
+    if (reference) {
+      const auto simulation = statistic.MakeSimulation(family, mc);
+      std::vector<double> maxima(mc.num_worlds);
+      for (size_t w = 0; w < maxima.size(); ++w) {
+        maxima[w] = simulation->RunWorldReference(w);
+      }
+      benchmark::DoNotOptimize(maxima.data());
+      benchmark::ClobberMemory();
+      continue;
+    }
+    auto dist = core::SimulateNull(statistic, family, mc);
+    if (!dist.ok()) {
+      state.SkipWithError("simulation failed");
+      return;
+    }
+    benchmark::DoNotOptimize(dist->sorted_max());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          mc.num_worlds);
 }
 
 void BM_LlrEvaluation(benchmark::State& state) {
@@ -88,6 +124,21 @@ void BM_BitVectorAndPopcount(benchmark::State& state) {
 }
 BENCHMARK(BM_BitVectorAndPopcount)->Range(1 << 10, 1 << 20);
 
+/// One point-level null world per iteration through the per-world reference
+/// path: label generation + scalar counting + max-LLR.
+void RunWorldBench(benchmark::State& state, const core::RegionFamily& family) {
+  core::MonteCarloOptions mc;
+  mc.closed_form_cells = false;
+  const auto simulation =
+      BenchStatistic(family.num_points()).MakeSimulation(family, mc);
+  size_t world = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simulation->RunWorldReference(world++));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(family.num_points()));
+}
+
 void BM_GridFamilyWorld(benchmark::State& state) {
   // One Monte Carlo world against a 100x50 grid family: label generation +
   // counting + max-LLR.
@@ -98,15 +149,7 @@ void BM_GridFamilyWorld(benchmark::State& state) {
     state.SkipWithError("family creation failed");
     return;
   }
-  Rng rng(9);
-  std::vector<uint64_t> scratch;
-  for (auto _ : state) {
-    const core::Labels labels = core::Labels::SampleBernoulli(n, 0.62, &rng);
-    benchmark::DoNotOptimize(core::ScanMaxStatistic(
-        **family, labels, stats::ScanDirection::kTwoSided, &scratch));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
+  RunWorldBench(state, **family);
 }
 BENCHMARK(BM_GridFamilyWorld)->Range(1 << 12, 1 << 18);
 
@@ -126,18 +169,12 @@ void BM_SquareFamilyWorld(benchmark::State& state) {
     state.SkipWithError("family creation failed");
     return;
   }
-  std::vector<uint64_t> scratch;
-  for (auto _ : state) {
-    const core::Labels labels = core::Labels::SampleBernoulli(n, 0.62, &rng);
-    benchmark::DoNotOptimize(core::ScanMaxStatistic(
-        **family, labels, stats::ScanDirection::kTwoSided, &scratch));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
+  RunWorldBench(state, **family);
 }
 BENCHMARK(BM_SquareFamilyWorld)->Range(1 << 12, 1 << 17);
 
-void RunMonteCarloBench(benchmark::State& state, const core::MonteCarloOptions& base) {
+void RunMonteCarloBench(benchmark::State& state, const core::MonteCarloOptions& base,
+                        bool reference = false) {
   // Full null calibration at the given world count against a 50x25 grid
   // family at N=20k — the ISSUE 1 headline configuration.
   const size_t n = 20000;
@@ -149,17 +186,7 @@ void RunMonteCarloBench(benchmark::State& state, const core::MonteCarloOptions& 
   }
   core::MonteCarloOptions mc = base;
   mc.num_worlds = static_cast<uint32_t>(state.range(0));
-  for (auto _ : state) {
-    auto dist = core::SimulateNull(**family, 0.62, n * 62 / 100,
-                                   stats::ScanDirection::kTwoSided, mc);
-    if (!dist.ok()) {
-      state.SkipWithError("simulation failed");
-      return;
-    }
-    benchmark::DoNotOptimize(dist->sorted_max());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
+  RunCalibration(state, **family, mc, reference);
 }
 
 void BM_MonteCarloEndToEnd(benchmark::State& state) {
@@ -184,9 +211,8 @@ void BM_MonteCarloEndToEndReference(benchmark::State& state) {
   // Per-world reference strategy with point-level sampling: the pre-engine
   // baseline (fresh buffers every world, scalar counting).
   core::MonteCarloOptions mc;
-  mc.engine = core::McEngine::kReference;
   mc.closed_form_cells = false;
-  RunMonteCarloBench(state, mc);
+  RunMonteCarloBench(state, mc, /*reference=*/true);
 }
 BENCHMARK(BM_MonteCarloEndToEndReference)
     ->Arg(99)
@@ -194,24 +220,13 @@ BENCHMARK(BM_MonteCarloEndToEndReference)
     ->Unit(benchmark::kMillisecond);
 
 void RunOverlappingFamilyBench(benchmark::State& state,
-                               const core::RegionFamily& family, size_t n) {
-  // Overlapping-family calibration: batched (range 1) vs reference (range 0)
-  // engines; the counting backend is fixed by the family instance.
+                               const core::RegionFamily& family) {
+  // Overlapping-family calibration: batched engine (range 1) vs per-world
+  // reference oracle (range 0); the counting backend is fixed by the family
+  // instance.
   core::MonteCarloOptions mc;
   mc.num_worlds = 49;
-  mc.engine = state.range(0) == 0 ? core::McEngine::kReference
-                                  : core::McEngine::kBatched;
-  for (auto _ : state) {
-    auto dist = core::SimulateNull(family, 0.62, n * 62 / 100,
-                                   stats::ScanDirection::kTwoSided, mc);
-    if (!dist.ok()) {
-      state.SkipWithError("simulation failed");
-      return;
-    }
-    benchmark::DoNotOptimize(dist->sorted_max());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          mc.num_worlds);
+  RunCalibration(state, family, mc, /*reference=*/state.range(0) == 0);
 }
 
 std::unique_ptr<core::SquareScanFamily> BenchSquareFamily(
@@ -250,7 +265,7 @@ void BM_MonteCarloSquareFamily(benchmark::State& state) {
     state.SkipWithError("family creation failed");
     return;
   }
-  RunOverlappingFamilyBench(state, *family, n);
+  RunOverlappingFamilyBench(state, *family);
 }
 BENCHMARK(BM_MonteCarloSquareFamily)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -262,7 +277,7 @@ void BM_MonteCarloSquareFamilyDense(benchmark::State& state) {
     state.SkipWithError("family creation failed");
     return;
   }
-  RunOverlappingFamilyBench(state, *family, n);
+  RunOverlappingFamilyBench(state, *family);
 }
 BENCHMARK(BM_MonteCarloSquareFamilyDense)
     ->Arg(0)
@@ -278,7 +293,7 @@ void BM_MonteCarloKnnFamily(benchmark::State& state) {
     state.SkipWithError("family creation failed");
     return;
   }
-  RunOverlappingFamilyBench(state, *family, n);
+  RunOverlappingFamilyBench(state, *family);
 }
 BENCHMARK(BM_MonteCarloKnnFamily)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -289,7 +304,7 @@ void BM_MonteCarloKnnFamilyDense(benchmark::State& state) {
     state.SkipWithError("family creation failed");
     return;
   }
-  RunOverlappingFamilyBench(state, *family, n);
+  RunOverlappingFamilyBench(state, *family);
 }
 BENCHMARK(BM_MonteCarloKnnFamilyDense)
     ->Arg(0)

@@ -2,20 +2,27 @@
 //
 // Scenario: a delivery platform routes orders to three service tiers
 // (standard / express / premium). Tier assignment should not depend on where
-// the customer lives. The multiclass audit (multinomial scan, the
-// generalization the paper's binary test derives from) checks whether the
-// full tier DISTRIBUTION is independent of location, and points at the
-// neighborhoods where the mix deviates.
+// the customer lives. A multinomial audit (AuditOptions::statistic =
+// kMultinomial — the generalization the paper's binary test derives from)
+// checks whether the full tier DISTRIBUTION is independent of location over
+// a grid of neighborhoods, and points at the cells where the mix deviates.
+//
+// Exits 0 only when the audit rejects fairness AND its top finding overlaps
+// the planted district.
+#include <algorithm>
 #include <cstdio>
 
 #include "common/macros.h"
 #include "common/random.h"
-#include "core/multiclass.h"
+#include "core/audit.h"
+#include "core/grid_family.h"
+#include "data/dataset.h"
 
 int main() {
   sfa::Rng rng(2718);
-  std::vector<sfa::geo::Point> customers;
-  std::vector<uint8_t> tier;  // 0 = standard, 1 = express, 2 = premium
+  // The audited view: each customer's location and tier
+  // (0 = standard, 1 = express, 2 = premium).
+  sfa::data::OutcomeDataset orders("orders");
   const std::vector<double> global_mix = {0.6, 0.3, 0.1};
 
   // A planted district where premium service is quietly withheld: its orders
@@ -32,17 +39,17 @@ int main() {
     }
     const auto& mix =
         underserved.Contains(home) ? underserved_mix : global_mix;
-    customers.push_back(home);
-    tier.push_back(static_cast<uint8_t>(rng.Categorical(mix)));
+    orders.Add(home, static_cast<uint8_t>(rng.Categorical(mix)));
   }
 
-  sfa::core::MulticlassAuditOptions options;
+  auto grid = sfa::core::GridPartitionFamily::Create(orders.locations(), 12, 12);
+  SFA_CHECK_OK(grid.status());
+  sfa::core::AuditOptions options;
   options.alpha = 0.005;
-  options.grid_x = 12;
-  options.grid_y = 12;
+  options.statistic = sfa::core::StatisticKind::kMultinomial;
+  options.num_classes = 3;
   options.monte_carlo.num_worlds = 499;
-  auto result =
-      sfa::core::AuditMulticlassGrid(customers, tier, 3, options);
+  auto result = sfa::core::Auditor(options).AuditView(orders, **grid);
   SFA_CHECK_OK(result.status());
 
   std::printf("global tier mix: standard %.2f, express %.2f, premium %.2f\n",
@@ -62,12 +69,11 @@ int main() {
         static_cast<double>(f.class_counts[2]) / static_cast<double>(f.n),
         f.llr);
   }
-  if (!result->findings.empty()) {
-    std::printf("\nPlanted underserved district was %s — %s\n",
-                underserved.ToString().c_str(),
-                result->findings[0].rect.Intersects(underserved)
-                    ? "recovered by the top finding"
-                    : "NOT the top finding (unexpected)");
-  }
-  return result->spatially_fair ? 1 : 0;
+  const bool recovered = !result->findings.empty() &&
+                         result->findings[0].rect.Intersects(underserved);
+  std::printf("\nPlanted underserved district was %s — %s\n",
+              underserved.ToString().c_str(),
+              recovered ? "recovered by the top finding"
+                        : "NOT the top finding (unexpected)");
+  return !result->spatially_fair && recovered ? 0 : 1;
 }

@@ -24,7 +24,6 @@
 #include "common/status.h"
 #include "core/measure.h"
 #include "core/region_family.h"
-#include "core/scan.h"
 #include "core/scan_statistic.h"
 #include "core/significance.h"
 #include "data/dataset.h"

@@ -12,34 +12,44 @@ namespace sfa::core {
 
 namespace {
 
-/// Max Λ over all regions from a row of positive counts, using the shared
-/// k·log k table. Region point counts are pre-gathered into `region_n` so the
-/// hot loop makes no virtual calls.
+/// Λ(R) of one region holding `n` points, `p` of them positive, through the
+/// shared k·log k table; `null_ll` is ll(P, N), constant per world. Returns
+/// 0 for regions that cannot separate inside from outside or whose deviation
+/// does not match `direction`. Operation order matches
+/// stats::BernoulliLogLikelihoodRatio(counts, direction, table) exactly —
+/// (ll_in + ll_out) - null with the same gating, before its clamp at 0 — and
+/// both the observed scan and every null world evaluate Λ here, so equal
+/// counts give bit-equal statistics (the exact-tie contract of the rank
+/// p-value).
+inline double RegionLlr(uint64_t n, uint64_t p, uint64_t total_n,
+                        uint64_t total_p, double null_ll,
+                        stats::ScanDirection direction,
+                        const stats::LogLikelihoodTable& table) {
+  const uint64_t n_out = total_n - n;
+  const uint64_t p_out = total_p - p;
+  if (n == 0 || n_out == 0) return 0.0;
+  // rate_in vs rate_out as exact integer cross-products.
+  const auto lhs = static_cast<unsigned __int128>(p) * n_out;
+  const auto rhs = static_cast<unsigned __int128>(p_out) * n;
+  if (lhs == rhs) return 0.0;
+  if (direction == stats::ScanDirection::kHigh && lhs < rhs) return 0.0;
+  if (direction == stats::ScanDirection::kLow && lhs > rhs) return 0.0;
+  return table.MaxBernoulliLogLikelihood(p, n) +
+         table.MaxBernoulliLogLikelihood(p_out, n_out) - null_ll;
+}
+
+/// Max Λ over all regions from a row of positive counts. Region point counts
+/// are pre-gathered into `region_n` so the hot loop makes no virtual calls.
 double MaxLlrFromCounts(const uint64_t* positives,
                         const std::vector<uint64_t>& region_n, uint64_t total_n,
                         uint64_t total_p, stats::ScanDirection direction,
                         const stats::LogLikelihoodTable& table) {
   double max_llr = 0.0;
   const size_t num_regions = region_n.size();
-  // Inlined table LLR with the per-world constant null term hoisted out of
-  // the region loop. Operation order matches
-  // stats::BernoulliLogLikelihoodRatio(counts, direction, table) exactly —
-  // (ll_in + ll_out) - null with the same gating — so maxima are bit-equal
-  // to the stats-layer evaluation (asserted by test_mc_engine.cc).
   const double null_ll = table.MaxBernoulliLogLikelihood(total_p, total_n);
   for (size_t r = 0; r < num_regions; ++r) {
-    const uint64_t n = region_n[r];
-    const uint64_t p = positives[r];
-    const uint64_t n_out = total_n - n;
-    const uint64_t p_out = total_p - p;
-    if (n == 0 || n_out == 0) continue;
-    const auto lhs = static_cast<unsigned __int128>(p) * n_out;
-    const auto rhs = static_cast<unsigned __int128>(p_out) * n;
-    if (lhs == rhs) continue;
-    if (direction == stats::ScanDirection::kHigh && lhs < rhs) continue;
-    if (direction == stats::ScanDirection::kLow && lhs > rhs) continue;
-    const double llr = table.MaxBernoulliLogLikelihood(p, n) +
-                       table.MaxBernoulliLogLikelihood(p_out, n_out) - null_ll;
+    const double llr = RegionLlr(region_n[r], positives[r], total_n, total_p,
+                                 null_ll, direction, table);
     if (llr > max_llr) max_llr = llr;
   }
   return max_llr;
@@ -277,12 +287,33 @@ ScanResult BernoulliScanStatistic::ScanObserved(const RegionFamily& family,
                                                 const uint8_t* outcomes,
                                                 size_t n,
                                                 AuditScratch* scratch) const {
-  // The scratch recycles the observed-world label buffer and the shared
-  // k·log k table across pooled calls — identical arithmetic to the null
-  // simulation, so observed-vs-null ties are exact (core/scan.h contract).
+  // One count pass, then one table pass through RegionLlr — the code every
+  // null world runs. The scratch recycles the label buffer and the table
+  // across pooled calls.
   scratch->observed_labels.AssignBytes(outcomes, n);
-  return ScanAllRegions(family, scratch->observed_labels, direction_,
-                        scratch->TableFor(n));
+  const Labels& labels = scratch->observed_labels;
+  const stats::LogLikelihoodTable& table = scratch->TableFor(n);
+  ScanResult result;
+  result.total_n = labels.size();
+  result.total_p = labels.positive_count();
+  family.CountPositives(labels, &result.positives);
+  const size_t num_regions = family.num_regions();
+  result.llr.resize(num_regions);
+  const double null_ll =
+      table.MaxBernoulliLogLikelihood(result.total_p, result.total_n);
+  for (size_t r = 0; r < num_regions; ++r) {
+    double llr = RegionLlr(family.PointCount(r), result.positives[r],
+                           result.total_n, result.total_p, null_ll, direction_,
+                           table);
+    // Λ nests the null, so it is >= 0; clamp floating-point residue.
+    if (llr < 0.0) llr = 0.0;
+    result.llr[r] = llr;
+    if (llr > result.max_llr) {
+      result.max_llr = llr;
+      result.argmax = r;
+    }
+  }
+  return result;
 }
 
 std::unique_ptr<StatisticSimulation> BernoulliScanStatistic::MakeSimulation(

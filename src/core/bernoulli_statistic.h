@@ -3,8 +3,9 @@
 // test (§3), re-seated from the original hardwired scan/engine path with its
 // arithmetic and RNG streams preserved bit-for-bit:
 //
-//   observed scan    per-region Λ through the shared k·log k table
-//                    (core/scan.h's ScanAllRegions — the exact-tie contract);
+//   observed scan    per-region Λ through the shared k·log k table, by the
+//                    same per-region code the null worlds run (the exact-tie
+//                    contract of the rank p-value);
 //   null worlds      closed-form per-cell Binomial(n_c, ρ) draws for
 //                    cell-decomposable families, pooled label worlds +
 //                    CountPositivesBatch otherwise, per-world RNG substreams

@@ -11,9 +11,9 @@
 // request. This cache keys calibrations by a content hash of exactly those
 // inputs and shares the resulting NullDistribution across requests.
 //
-// Keys deliberately EXCLUDE the execution-only Monte Carlo knobs (engine,
-// batch_size, parallel): the world engine guarantees bit-identical maxima
-// across all of them (core/mc_engine.h), so requests differing only there
+// Keys deliberately EXCLUDE the execution-only Monte Carlo knobs
+// (batch_size, parallel): the world engine guarantees bit-identical maxima
+// across both of them (core/mc_engine.h), so requests differing only there
 // still share one calibration. Everything that can shift a drawn value —
 // num_worlds, null model, seed, closed_form_cells (different RNG stream) —
 // is hashed, and so is the ScanStatistic's Fingerprint(): the statistic's
@@ -37,7 +37,6 @@
 #include "common/thread_pool.h"
 #include "core/region_family.h"
 #include "core/significance.h"
-#include "stats/bernoulli_scan.h"
 
 namespace sfa::core {
 
@@ -80,18 +79,6 @@ CalibrationKey MakeCalibrationKey(const RegionFamily& family,
 CalibrationKey MakeCalibrationKey(const RegionFamily& family,
                                   uint64_t fingerprint,
                                   const ScanStatistic& statistic,
-                                  const MonteCarloOptions& options);
-
-/// Bernoulli convenience overloads (the pre-statistic-layer signatures):
-/// key the binary statistic over (N, P, direction).
-CalibrationKey MakeCalibrationKey(const RegionFamily& family, uint64_t total_n,
-                                  uint64_t total_p,
-                                  stats::ScanDirection direction,
-                                  const MonteCarloOptions& options);
-CalibrationKey MakeCalibrationKey(const RegionFamily& family,
-                                  uint64_t fingerprint, uint64_t total_n,
-                                  uint64_t total_p,
-                                  stats::ScanDirection direction,
                                   const MonteCarloOptions& options);
 
 /// Execution-only context handed to a calibration computation by

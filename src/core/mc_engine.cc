@@ -7,7 +7,6 @@
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
-#include "core/bernoulli_statistic.h"
 
 namespace sfa::core {
 
@@ -53,8 +52,8 @@ struct RangeOutcome {
   Status stop_cause;
 };
 
-/// Runs worlds [w_lo, w_hi) into max_llrs[w_lo..w_hi) with the batched /
-/// reference strategy and optional pool fan-out. When `stoppable`, polls the
+/// Runs worlds [w_lo, w_hi) into max_llrs[w_lo..w_hi) in batches with
+/// optional pool fan-out. When `stoppable`, polls the
 /// stop controls at batch boundaries and truncates to the contiguous
 /// completed prefix exactly like the full-run entry point (worlds draw from
 /// per-world substreams, so a range is positionally identical to the same
@@ -63,25 +62,15 @@ RangeOutcome RunWorldRange(const StatisticSimulation& simulation,
                            const MonteCarloOptions& options, size_t w_lo,
                            size_t w_hi, double* max_llrs, bool stoppable) {
   const size_t num_range = w_hi - w_lo;
-  // The reference engine is "batches" of one world; the batched engine works
-  // in batch_size chunks. Either way the stop poll happens before a chunk
-  // starts, never inside one, so a completed chunk is always whole.
-  const size_t batch_size =
-      options.engine == McEngine::kReference
-          ? 1
-          : std::max<uint32_t>(1, options.batch_size);
+  // The stop poll happens before a batch starts, never inside one, so a
+  // completed batch is always whole.
+  const size_t batch_size = std::max<uint32_t>(1, options.batch_size);
   const size_t num_batches = (num_range + batch_size - 1) / batch_size;
 
   auto run_batch = [&](size_t g) {
     const size_t b_lo = w_lo + g * batch_size;
     const size_t b_hi = std::min(w_hi, b_lo + batch_size);
-    if (options.engine == McEngine::kReference) {
-      for (size_t w = b_lo; w < b_hi; ++w) {
-        max_llrs[w] = simulation.RunWorldReference(w);
-      }
-    } else {
-      simulation.RunWorldBatch(b_lo, b_hi, max_llrs);
-    }
+    simulation.RunWorldBatch(b_lo, b_hi, max_llrs);
   };
 
   StopState stop;
@@ -239,22 +228,6 @@ std::vector<double> RunMonteCarloWorlds(const StatisticSimulation& simulation,
   outcome->stop_reason = McStopReason::kNone;
   max_llrs.resize(range.completed);
   return max_llrs;
-}
-
-std::vector<double> RunMonteCarloWorlds(const StatisticSimulation& simulation,
-                                        const MonteCarloOptions& options) {
-  return RunMonteCarloWorlds(simulation, options, nullptr);
-}
-
-std::vector<double> RunMonteCarloWorlds(const RegionFamily& family, double rho,
-                                        uint64_t total_positives,
-                                        stats::ScanDirection direction,
-                                        const MonteCarloOptions& options) {
-  const BernoulliScanStatistic statistic(direction, family.num_points(),
-                                         total_positives, rho);
-  const std::unique_ptr<StatisticSimulation> simulation =
-      statistic.MakeSimulation(family, options);
-  return RunMonteCarloWorlds(*simulation, options);
 }
 
 }  // namespace sfa::core

@@ -16,23 +16,21 @@
 // StatisticSimulation implementations (core/bernoulli_statistic.cc,
 // core/multinomial_statistic.cc).
 //
-// Both execution strategies — the batched engine and the plain per-world
-// reference — draw each world's randomness from the same per-world RNG
-// substream (Rng::Split(world)) inside the simulation, so their
-// NullDistributions are bit-identical for a fixed seed, independent of
-// batch size, thread count, and parallel on/off (test_mc_engine.cc enforces
-// this for Bernoulli across every bundled family and both null models;
-// test_scan_statistic.cc for multinomial).
+// The engine always runs RunWorldBatch. StatisticSimulation::RunWorldReference
+// — one world, fresh buffers, scalar counting — is the test oracle: both
+// draw each world's randomness from the same per-world RNG substream
+// (Rng::Split(world)), so the engine's maxima equal the oracle's bit for bit
+// for a fixed seed, independent of batch size, thread count, and parallel
+// on/off (test_mc_engine.cc enforces this for Bernoulli across every bundled
+// family and both null models; test_scan_statistic.cc for multinomial).
 #ifndef SFA_CORE_MC_ENGINE_H_
 #define SFA_CORE_MC_ENGINE_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "core/region_family.h"
 #include "core/scan_statistic.h"
 #include "core/significance.h"
-#include "stats/bernoulli_scan.h"
 
 namespace sfa::core {
 
@@ -81,17 +79,6 @@ struct McRunOutcome {
 std::vector<double> RunMonteCarloWorlds(const StatisticSimulation& simulation,
                                         const MonteCarloOptions& options,
                                         McRunOutcome* outcome);
-
-std::vector<double> RunMonteCarloWorlds(const StatisticSimulation& simulation,
-                                        const MonteCarloOptions& options);
-
-/// Bernoulli convenience wrapper (the pre-statistic-layer signature, kept
-/// for the ablation harnesses and engine tests): simulates the binary
-/// statistic at an explicit null rate `rho`.
-std::vector<double> RunMonteCarloWorlds(const RegionFamily& family, double rho,
-                                        uint64_t total_positives,
-                                        stats::ScanDirection direction,
-                                        const MonteCarloOptions& options);
 
 }  // namespace sfa::core
 

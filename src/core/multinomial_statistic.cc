@@ -36,7 +36,7 @@ double MultinomialNullLogLikelihood(const std::vector<uint64_t>& totals,
 /// stats::MultinomialLogLikelihoodRatio's (nested hypotheses: Λ >= 0
 /// mathematically; floating-point residue only). The observed scan and every
 /// null world share this exact operation order, so rank-p-value ties are
-/// exact (the Bernoulli arithmetic contract, core/scan.h).
+/// exact (the arithmetic contract of ScanStatistic::ScanObserved).
 double RegionLlrFromTable(const uint64_t* const* counts_by_class, size_t r,
                           uint32_t num_classes, uint64_t region_n,
                           uint64_t total_n, const uint64_t* world_totals,

@@ -20,8 +20,8 @@
 //                      persistent store.
 //
 // Implementations must uphold the engine's determinism contract: for a fixed
-// seed, a simulation's maxima are bit-identical across engine strategy
-// (batched/reference), batch size, thread count, and parallel on/off. They
+// seed, a simulation's maxima are bit-identical across batch size, thread
+// count, and parallel on/off, and equal the per-world reference oracle. They
 // achieve this the same way the Bernoulli statistic does — per-world RNG
 // substreams (Rng::Split(world)) and a shared k·log k log-likelihood table
 // so observed and null worlds with identical counts produce bit-identical
@@ -38,7 +38,6 @@
 #include "common/status.h"
 #include "core/labels.h"
 #include "core/region_family.h"
-#include "core/scan.h"
 #include "core/significance.h"
 #include "geo/rect.h"
 #include "stats/bernoulli_scan.h"
@@ -77,6 +76,22 @@ struct RegionFinding {
   std::vector<uint64_t> class_counts;
 };
 
+/// Full per-region scan of one observed world (ScanStatistic::ScanObserved).
+/// Bernoulli scans fill `positives`; multinomial scans fill `class_counts`
+/// instead and leave the binary fields (`positives`, `total_p`) empty/zero.
+struct ScanResult {
+  std::vector<double> llr;          ///< Λ(R) per region
+  std::vector<uint64_t> positives;  ///< p(R) per region (Bernoulli)
+  double max_llr = 0.0;             ///< τ = max_R Λ(R)
+  size_t argmax = 0;                ///< R*
+  uint64_t total_n = 0;             ///< N
+  uint64_t total_p = 0;             ///< P (Bernoulli)
+  /// Per-region per-class counts, region-major [num_regions x num_classes]
+  /// (multinomial; empty for Bernoulli).
+  std::vector<uint64_t> class_counts;
+  uint32_t num_classes = 0;  ///< columns of class_counts (0 for Bernoulli)
+};
+
 /// Reusable per-thread buffers for pooled audit execution: the audit
 /// pipeline keeps one AuditScratch per worker so the steady state of a
 /// request stream allocates no observed-world storage and rebuilds the
@@ -111,9 +126,9 @@ class StatisticSimulation {
  public:
   virtual ~StatisticSimulation() = default;
 
-  /// Max statistic of null world `w` — the reference strategy: fresh buffers,
-  /// scalar counting. The semantic baseline RunWorldBatch must match
-  /// bit-for-bit.
+  /// Max statistic of null world `w` through fresh buffers and scalar
+  /// counting: the test oracle RunWorldBatch must match bit-for-bit. The
+  /// engine itself always runs RunWorldBatch.
   virtual double RunWorldReference(size_t w) const = 0;
 
   /// Max statistics of worlds [w_lo, w_hi) into out[w_lo..w_hi), through
@@ -157,9 +172,16 @@ class ScanStatistic {
   virtual Status ValidateForFamily(const RegionFamily& family) const = 0;
 
   /// Full per-region scan of the observed world: Λ per region, the counts
-  /// evidence needs, and τ = max Λ. Arithmetic contract: evaluates Λ through
-  /// the same shared table as the null simulation, so observed-vs-null ties
-  /// are exact. `scratch` recycles buffers across pooled calls.
+  /// evidence needs, and τ = max Λ. `scratch` recycles buffers across pooled
+  /// calls.
+  ///
+  /// Arithmetic contract: Λ is evaluated by the same code, through the same
+  /// shared table, as the null simulation, so an observed world and a null
+  /// world with identical counts score bit-identically. The rank p-value
+  /// counts exact ties toward #{null >= observed} (the conservative side);
+  /// mixed arithmetic (std::log observed vs table nulls) lands a tie an ulp
+  /// on either side, an anti-conservative bias test_pvalue_calibration.cc
+  /// once exposed.
   virtual ScanResult ScanObserved(const RegionFamily& family,
                                   const uint8_t* outcomes, size_t n,
                                   AuditScratch* scratch) const = 0;

@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "common/macros.h"
-#include "core/bernoulli_statistic.h"
-#include "core/mc_engine.h"
 #include "stats/gumbel.h"
 
 namespace sfa::core {
@@ -17,16 +15,6 @@ const char* NullModelToString(NullModel model) {
       return "unconditional Bernoulli";
     case NullModel::kPermutation:
       return "conditional permutation";
-  }
-  return "?";
-}
-
-const char* McEngineToString(McEngine engine) {
-  switch (engine) {
-    case McEngine::kBatched:
-      return "batched";
-    case McEngine::kReference:
-      return "per-world reference";
   }
   return "?";
 }
@@ -242,35 +230,6 @@ Status ValidateMonteCarloOptions(const MonteCarloOptions& options) {
     }
   }
   return Status::OK();
-}
-
-Result<NullDistribution> SimulateNull(const RegionFamily& family, double rho,
-                                      uint64_t total_positives,
-                                      stats::ScanDirection direction,
-                                      const MonteCarloOptions& options) {
-  SFA_RETURN_NOT_OK(ValidateMonteCarloOptions(options));
-  if (rho < 0.0 || rho > 1.0) {
-    return Status::InvalidArgument("rho must be in [0, 1]");
-  }
-  const size_t n = family.num_points();
-  if (total_positives > n) {
-    return Status::InvalidArgument("more positives than points");
-  }
-  if (!options.adaptive.enabled) {
-    return NullDistribution(
-        RunMonteCarloWorlds(family, rho, total_positives, direction, options));
-  }
-  // Adaptive runs need an outcome to carry the stop metadata; the legacy
-  // non-adaptive path above stays unstoppable (its historical contract).
-  const BernoulliScanStatistic statistic(direction, n, total_positives, rho);
-  const std::unique_ptr<StatisticSimulation> simulation =
-      statistic.MakeSimulation(family, options);
-  McRunOutcome outcome;
-  std::vector<double> max_llrs =
-      RunMonteCarloWorlds(*simulation, options, &outcome);
-  if (!outcome.complete) return outcome.stop_cause;
-  return NullDistribution(std::move(max_llrs), options.num_worlds,
-                          outcome.stop_reason);
 }
 
 }  // namespace sfa::core

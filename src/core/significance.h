@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/region_family.h"
-#include "stats/bernoulli_scan.h"
 
 namespace sfa {
 class CancellationToken;  // common/thread_pool.h
@@ -32,20 +30,6 @@ enum class NullModel {
 };
 
 const char* NullModelToString(NullModel model);
-
-/// Execution strategy of the world engine. Both strategies produce
-/// bit-identical NullDistributions for the same options (per-world RNG
-/// substreams + shared log-table LLR); kReference exists as the semantic
-/// baseline and for A/B benchmarking.
-enum class McEngine {
-  /// Worlds in batches of batch_size through CountPositivesBatch, all
-  /// per-world buffers pooled in thread-local arenas (the default).
-  kBatched,
-  /// One world at a time, fresh buffers, scalar CountPositives.
-  kReference,
-};
-
-const char* McEngineToString(McEngine engine);
 
 /// How a p-value (and the advisory critical value) is derived from the
 /// simulated null distribution.
@@ -125,12 +109,11 @@ struct MonteCarloOptions {
   /// Worlds are simulated on the default thread pool when true; results are
   /// identical either way (per-world substreams).
   bool parallel = true;
-  McEngine engine = McEngine::kBatched;
-  /// Worlds per batch in the kBatched engine. Affects performance only,
-  /// never results — for every family counting backend (partition/closed-form
-  /// cells, overlapping sparse-annulus scatter, dense bit vectors; see
-  /// core::CountingBackend) counts are exact integers, so batch boundaries
-  /// cannot shift the null distribution.
+  /// Worlds per engine batch. Affects performance only, never results — for
+  /// every family counting backend (partition/closed-form cells, overlapping
+  /// sparse-annulus scatter, dense bit vectors; see core::CountingBackend)
+  /// counts are exact integers, so batch boundaries cannot shift the null
+  /// distribution.
   uint32_t batch_size = 8;
   /// When the family exposes a cell decomposition (grid, rectangle sweep,
   /// single partitioning) and the null is Bernoulli, draw per-cell positives
@@ -329,16 +312,8 @@ using NullDistributionView = NullDistribution;
 
 /// Validates the decision-relevant Monte Carlo options: the world count
 /// and, when enabled, the adaptive sequential-stopping configuration.
-/// Shared by both SimulateNull entry points.
+/// Called by SimulateNull (core/scan_statistic.h).
 Status ValidateMonteCarloOptions(const MonteCarloOptions& options);
-
-/// Simulates the null distribution for `family`. `rho` is the global
-/// positive rate and `total_positives` the observed P (used by the
-/// permutation null).
-Result<NullDistribution> SimulateNull(const RegionFamily& family, double rho,
-                                      uint64_t total_positives,
-                                      stats::ScanDirection direction,
-                                      const MonteCarloOptions& options);
 
 }  // namespace sfa::core
 

@@ -28,7 +28,6 @@
 #include "stats/descriptive.h"       // IWYU pragma: export
 #include "stats/distributions.h"     // IWYU pragma: export
 #include "stats/gumbel.h"            // IWYU pragma: export
-#include "stats/histogram.h"         // IWYU pragma: export
 #include "stats/join_count.h"        // IWYU pragma: export
 #include "stats/kmeans.h"            // IWYU pragma: export
 #include "stats/multinomial_scan.h"  // IWYU pragma: export
@@ -58,13 +57,11 @@
 #include "core/labels.h"                  // IWYU pragma: export
 #include "core/meanvar.h"                 // IWYU pragma: export
 #include "core/measure.h"                 // IWYU pragma: export
-#include "core/multiclass.h"              // IWYU pragma: export
 #include "core/multinomial_statistic.h"   // IWYU pragma: export
 #include "core/partitioning_family.h"     // IWYU pragma: export
 #include "core/rectangle_sweep_family.h"  // IWYU pragma: export
 #include "core/region_family.h"           // IWYU pragma: export
 #include "core/report.h"                  // IWYU pragma: export
-#include "core/scan.h"                    // IWYU pragma: export
 #include "core/scan_statistic.h"          // IWYU pragma: export
 #include "core/significance.h"            // IWYU pragma: export
 #include "core/square_family.h"           // IWYU pragma: export

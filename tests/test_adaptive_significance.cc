@@ -134,11 +134,6 @@ TEST(AdaptiveMc, StopPointInvariantAcrossExecutionStrategies) {
     v.batch_size = 7;  // does not divide check_every
     variants.push_back(v);
   }
-  {
-    MonteCarloOptions v = base;
-    v.engine = McEngine::kReference;
-    variants.push_back(v);
-  }
   for (size_t i = 0; i < variants.size(); ++i) {
     SCOPED_TRACE("variant " + std::to_string(i));
     auto got = SimulateNull(statistic, *family, variants[i]);
@@ -147,6 +142,13 @@ TEST(AdaptiveMc, StopPointInvariantAcrossExecutionStrategies) {
     EXPECT_EQ(got->stop_reason(), reference->stop_reason());
     EXPECT_EQ(got->MaximaVector(), reference->MaximaVector());
   }
+  // The stopped prefix equals the per-world reference oracle's worlds.
+  MonteCarloOptions prefix = base;
+  prefix.num_worlds = static_cast<uint32_t>(reference->num_worlds());
+  EXPECT_EQ(NullDistribution(testing::RunReferenceWorlds(statistic, *family,
+                                                         prefix))
+                .MaximaVector(),
+            reference->MaximaVector());
 }
 
 TEST(AdaptiveMc, ErrorValidationStillApplies) {

@@ -19,12 +19,13 @@
 
 #include "common/random.h"
 #include "core/knn_circle_family.h"
+#include "core/bernoulli_statistic.h"
 #include "core/labels.h"
-#include "core/scan.h"
 #include "core/significance.h"
 #include "core/square_family.h"
 #include "spatial/csr.h"
 #include "spatial/kdtree.h"
+#include "testing_util.h"
 
 namespace sfa::core {
 namespace {
@@ -152,8 +153,8 @@ FamilyPair MakeKnnPair(const std::vector<geo::Point>& points,
 }
 
 /// Asserts the two backends agree with each other on n(R), p(R) (scalar and
-/// batched), and ScanMaxStatistic under every direction, for `worlds` random
-/// label assignments.
+/// batched), and the observed scan's τ under every direction, for `worlds`
+/// random label assignments.
 void CheckBackendsAgree(const FamilyPair& pair, size_t worlds, uint64_t seed) {
   const RegionFamily& sparse = *pair.sparse;
   const RegionFamily& dense = *pair.dense;
@@ -186,15 +187,20 @@ void CheckBackendsAgree(const FamilyPair& pair, size_t worlds, uint64_t seed) {
   dense.CountPositivesBatch(ptrs.data(), worlds, batch_dense.data());
   ASSERT_EQ(batch_sparse, batch_dense);
 
-  std::vector<uint64_t> scratch;
+  AuditScratch scratch;
   for (stats::ScanDirection direction :
        {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
         stats::ScanDirection::kLow}) {
     for (size_t w = 0; w < std::min<size_t>(worlds, 3); ++w) {
+      const BernoulliScanStatistic statistic(direction, labels[w].size(),
+                                             labels[w].positive_count());
+      const uint8_t* outcomes = labels[w].bytes().data();
       const double tau_sparse =
-          ScanMaxStatistic(sparse, labels[w], direction, &scratch);
+          statistic.ScanObserved(sparse, outcomes, labels[w].size(), &scratch)
+              .max_llr;
       const double tau_dense =
-          ScanMaxStatistic(dense, labels[w], direction, &scratch);
+          statistic.ScanObserved(dense, outcomes, labels[w].size(), &scratch)
+              .max_llr;
       ASSERT_EQ(tau_sparse, tau_dense)
           << "direction " << static_cast<int>(direction) << " world " << w;
     }
@@ -511,9 +517,15 @@ TEST(AnnulusBackend, ClassCountsCoverDegenerateShapes) {
 
 // ------------------------------------- bit-identical null distributions ---
 
+/// The binary statistic at an explicit null rate of 0.41 with P = 120.
+BernoulliScanStatistic Statistic(const RegionFamily& family) {
+  return BernoulliScanStatistic(stats::ScanDirection::kTwoSided,
+                                family.num_points(), 120, 0.41);
+}
+
 NullDistribution MustSimulate(const RegionFamily& family,
                               const MonteCarloOptions& mc) {
-  auto dist = SimulateNull(family, 0.41, 120, stats::ScanDirection::kTwoSided, mc);
+  auto dist = SimulateNull(Statistic(family), family, mc);
   EXPECT_TRUE(dist.ok());
   return *dist;
 }
@@ -537,27 +549,25 @@ TEST(AnnulusBackend, NullDistributionBitIdenticalToDenseReference) {
       mc.num_worlds = 40;
       mc.seed = 777;
       mc.null_model = null_model;
-      mc.parallel = false;
-      mc.engine = McEngine::kReference;
-      const NullDistribution reference = MustSimulate(*pair.dense, mc);
+      const NullDistribution reference(testing::RunReferenceWorlds(
+          Statistic(*pair.dense), *pair.dense, mc));
+      const NullDistribution sparse_reference(testing::RunReferenceWorlds(
+          Statistic(*pair.sparse), *pair.sparse, mc));
+      EXPECT_EQ(sparse_reference.MaximaVector(), reference.MaximaVector())
+          << name << " sparse reference / " << NullModelToString(null_model);
 
       for (bool parallel : {false, true}) {
-        for (McEngine engine : {McEngine::kBatched, McEngine::kReference}) {
-          for (uint32_t batch_size : {1u, 3u, 64u}) {
-            mc.parallel = parallel;
-            mc.engine = engine;
-            mc.batch_size = batch_size;
-            const NullDistribution sparse_run = MustSimulate(*pair.sparse, mc);
-            const NullDistribution dense_run = MustSimulate(*pair.dense, mc);
-            EXPECT_EQ(sparse_run.MaximaVector(), reference.MaximaVector())
-                << name << " sparse / " << NullModelToString(null_model)
-                << " / " << McEngineToString(engine) << " / parallel="
-                << parallel << " / batch=" << batch_size;
-            EXPECT_EQ(dense_run.MaximaVector(), reference.MaximaVector())
-                << name << " dense / " << NullModelToString(null_model)
-                << " / " << McEngineToString(engine) << " / parallel="
-                << parallel << " / batch=" << batch_size;
-          }
+        for (uint32_t batch_size : {1u, 3u, 64u}) {
+          mc.parallel = parallel;
+          mc.batch_size = batch_size;
+          const NullDistribution sparse_run = MustSimulate(*pair.sparse, mc);
+          const NullDistribution dense_run = MustSimulate(*pair.dense, mc);
+          EXPECT_EQ(sparse_run.MaximaVector(), reference.MaximaVector())
+              << name << " sparse / " << NullModelToString(null_model)
+              << " / parallel=" << parallel << " / batch=" << batch_size;
+          EXPECT_EQ(dense_run.MaximaVector(), reference.MaximaVector())
+              << name << " dense / " << NullModelToString(null_model)
+              << " / parallel=" << parallel << " / batch=" << batch_size;
         }
       }
     }

@@ -13,6 +13,7 @@
 
 #include "common/macros.h"
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
 #include "core/measure.h"
 #include "data/dataset.h"
@@ -30,7 +31,7 @@ data::OutcomeDataset MakeCity(uint64_t seed, size_t n, bool planted_bias) {
 }
 
 /// A reusable batch fixture: two cities, several families (incl. one bound
-/// to the equal-opportunity view), mixed α / null models / engines.
+/// to the equal-opportunity view), mixed α / null models / batch sizes.
 struct Batch {
   data::OutcomeDataset city_a = MakeCity(101, 6000, /*planted_bias=*/true);
   data::OutcomeDataset city_b = MakeCity(202, 4000, /*planted_bias=*/false);
@@ -71,15 +72,16 @@ struct Batch {
       r.options = base(alpha);
       requests.push_back(r);
     }
-    // Same audit through the reference engine: excluded from the key, so it
-    // must share the calibration AND produce identical results.
+    // Same audit with other execution-only engine knobs: excluded from the
+    // key, so it must share the calibration AND produce identical results.
     {
       AuditRequest r;
-      r.id = "a-sp-reference-engine";
+      r.id = "a-sp-batch-size";
       r.dataset = &city_a;
       r.family = family_a.get();
       r.options = base(0.01);
-      r.options.monte_carlo.engine = McEngine::kReference;
+      r.options.monte_carlo.batch_size = 3;
+      r.options.monte_carlo.parallel = false;
       requests.push_back(r);
     }
     // City A, equal opportunity (view rebuilt by the pipeline) — distinct
@@ -195,8 +197,8 @@ TEST(AuditPipeline, SharesCalibrationsAndReportsThem) {
   PipelineManifest manifest;
   RunOrDie(pipeline, b.requests, &manifest);
 
-  // 9 requests, 5 unique calibrations: a-sp (3 α's + reference engine share
-  // one), a-eo, a-sp-permutation, b-sp (2 α's share one), b-sp-low.
+  // 9 requests, 5 unique calibrations: a-sp (3 α's + batch-size variant
+  // share one), a-eo, a-sp-permutation, b-sp (2 α's share one), b-sp-low.
   EXPECT_EQ(manifest.num_requests, 9u);
   EXPECT_EQ(manifest.num_failed, 0u);
   EXPECT_EQ(manifest.calibrations_computed, 5u);
@@ -219,7 +221,7 @@ TEST(AuditPipeline, SharesCalibrationsAndReportsThem) {
     return std::string();
   };
   EXPECT_EQ(key_of("a-sp-0.050000"), key_of("a-sp-0.010000"));
-  EXPECT_EQ(key_of("a-sp-0.010000"), key_of("a-sp-reference-engine"));
+  EXPECT_EQ(key_of("a-sp-0.010000"), key_of("a-sp-batch-size"));
   EXPECT_NE(key_of("a-sp-0.010000"), key_of("a-sp-permutation"));
   EXPECT_NE(key_of("a-sp-0.010000"), key_of("a-eo"));
   EXPECT_NE(key_of("b-sp-0.050000"), key_of("b-sp-low"));
@@ -285,17 +287,18 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
   mc.num_worlds = 99;
   mc.seed = 7;
   const auto key = [&](const MonteCarloOptions& m) {
-    return MakeCalibrationKey(*b.family_a, b.city_a.size(),
-                              b.city_a.PositiveCount(),
-                              stats::ScanDirection::kTwoSided, m);
+    return MakeCalibrationKey(
+        *b.family_a,
+        BernoulliScanStatistic(stats::ScanDirection::kTwoSided,
+                               b.city_a.size(), b.city_a.PositiveCount()),
+        m);
   };
   const CalibrationKey base = key(mc);
 
-  MonteCarloOptions engine = mc;
-  engine.engine = McEngine::kReference;
-  engine.batch_size = 3;
-  engine.parallel = false;
-  EXPECT_EQ(base, key(engine)) << "execution-only knobs must not split keys";
+  MonteCarloOptions execution = mc;
+  execution.batch_size = 3;
+  execution.parallel = false;
+  EXPECT_EQ(base, key(execution)) << "execution-only knobs must not split keys";
 
   MonteCarloOptions seeded = mc;
   seeded.seed = 8;
@@ -312,9 +315,12 @@ TEST(CalibrationKey, DistinguishesDrawRelevantInputsOnly) {
 
   // Different family, same totals → different fingerprint.
   EXPECT_NE(base.hash,
-            MakeCalibrationKey(*b.family_a_eo, b.city_a_eo_view.size(),
-                               b.city_a_eo_view.PositiveCount(),
-                               stats::ScanDirection::kTwoSided, mc)
+            MakeCalibrationKey(
+                *b.family_a_eo,
+                BernoulliScanStatistic(stats::ScanDirection::kTwoSided,
+                                       b.city_a_eo_view.size(),
+                                       b.city_a_eo_view.PositiveCount()),
+                mc)
                 .hash);
 }
 

@@ -171,7 +171,8 @@ TEST_F(DeadlineTest, RawEngineWithoutOutcomeIsNeverStopped) {
   const MonteCarloOptions mc = f.SerialMc(49);
   const BernoulliScanStatistic statistic = f.Statistic();
   const auto simulation = statistic.MakeSimulation(*f.family, mc);
-  const std::vector<double> worlds = RunMonteCarloWorlds(*simulation, mc);
+  const std::vector<double> worlds =
+      RunMonteCarloWorlds(*simulation, mc, /*outcome=*/nullptr);
   EXPECT_EQ(worlds.size(), 49u);
   EXPECT_EQ(fp().HitCount("mc_engine.batch"), 0u);  // site never consulted
 }

@@ -1,7 +1,8 @@
-// Equivalence suite for the batched Monte Carlo world engine: the batched
-// strategy must reproduce the per-world reference bit-for-bit — same
-// NullDistribution for the same seed — across every bundled region family,
-// both null models, any batch size, and parallel on/off. Also checks the
+// Equivalence suite for the batched Monte Carlo world engine: the engine
+// must reproduce the per-world reference oracle
+// (StatisticSimulation::RunWorldReference) bit-for-bit — same maxima in
+// world order for the same seed — across every bundled region family, both
+// null models, any batch size, and parallel on/off. Also checks the
 // batch counting interface against scalar counting directly, the engine's
 // inlined table LLR against the stats layer, and the closed-form cell
 // sampler's distributional agreement with point-level labeling.
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/partitioning_family.h"
@@ -21,6 +23,7 @@
 #include "core/square_family.h"
 #include "geo/partitioning.h"
 #include "stats/bernoulli_scan.h"
+#include "testing_util.h"
 
 namespace sfa::core {
 namespace {
@@ -104,44 +107,48 @@ std::vector<NamedFamily> AllFamilies() {
   return out;
 }
 
+/// The binary statistic at the suite's explicit null rate kRho (not P/N).
+BernoulliScanStatistic Statistic(const RegionFamily& family) {
+  return BernoulliScanStatistic(stats::ScanDirection::kTwoSided,
+                                family.num_points(), kPositives, kRho);
+}
+
 NullDistribution Simulate(const RegionFamily& family, const MonteCarloOptions& mc) {
-  auto dist = SimulateNull(family, kRho, kPositives,
-                           stats::ScanDirection::kTwoSided, mc);
+  auto dist = SimulateNull(Statistic(family), family, mc);
   EXPECT_TRUE(dist.ok());
   return *dist;
 }
 
-// The batched engine must equal the per-world reference exactly — same
-// maxima, double-for-double — for every family, both null models, and
-// parallel on/off.
-TEST(McEngineEquivalence, BatchedMatchesReferenceExactly) {
+// The engine must equal the per-world reference oracle exactly — same
+// maxima in world order, double-for-double — for every family, both null
+// models, and parallel on/off.
+TEST(MonteCarloEngineEquivalence, BatchedMatchesReferenceExactly) {
   const auto families = AllFamilies();
   for (const auto& [name, family] : families) {
+    const BernoulliScanStatistic statistic = Statistic(*family);
     for (NullModel null_model : {NullModel::kBernoulli, NullModel::kPermutation}) {
       MonteCarloOptions mc;
       mc.num_worlds = 60;
       mc.seed = 2024;
       mc.null_model = null_model;
-      mc.parallel = false;
-      mc.engine = McEngine::kReference;
-      const NullDistribution reference = Simulate(*family, mc);
+      const std::vector<double> reference =
+          testing::RunReferenceWorlds(statistic, *family, mc);
 
       for (bool parallel : {false, true}) {
-        for (McEngine engine : {McEngine::kBatched, McEngine::kReference}) {
-          mc.parallel = parallel;
-          mc.engine = engine;
-          const NullDistribution run = Simulate(*family, mc);
-          EXPECT_EQ(run.MaximaVector(), reference.MaximaVector())
-              << name << " / " << NullModelToString(null_model) << " / "
-              << McEngineToString(engine) << " / parallel=" << parallel;
-        }
+        mc.parallel = parallel;
+        const auto simulation = statistic.MakeSimulation(*family, mc);
+        McRunOutcome outcome;
+        EXPECT_EQ(RunMonteCarloWorlds(*simulation, mc, &outcome), reference)
+            << name << " / " << NullModelToString(null_model)
+            << " / parallel=" << parallel;
+        EXPECT_TRUE(outcome.complete);
       }
     }
   }
 }
 
 // Batch size is a performance knob, never a semantic one.
-TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
+TEST(MonteCarloEngineEquivalence, BatchSizeNeverChangesResults) {
   const auto families = AllFamilies();
   for (const auto& [name, family] : families) {
     MonteCarloOptions mc;
@@ -160,7 +167,7 @@ TEST(McEngineEquivalence, BatchSizeNeverChangesResults) {
 
 // CountPositivesBatch is integer-exact against scalar CountPositives for
 // every family (including the tuned overrides).
-TEST(McEngineEquivalence, BatchCountingMatchesScalarCounting) {
+TEST(MonteCarloEngineEquivalence, BatchCountingMatchesScalarCounting) {
   const auto families = AllFamilies();
   Rng rng(77);
   constexpr size_t kWorlds = 7;  // exercises the 4-wide block + tail kernels
@@ -187,7 +194,7 @@ TEST(McEngineEquivalence, BatchCountingMatchesScalarCounting) {
 // With closed-form sampling off, the engine's per-world maxima must equal a
 // hand-rolled oracle: sample the same labels, count with the scalar
 // interface, evaluate every region through the stats-layer table LLR.
-TEST(McEngineEquivalence, EngineMatchesStatsLayerOracle) {
+TEST(MonteCarloEngineEquivalence, EngineMatchesStatsLayerOracle) {
   const auto pts = Cloud(41);
   auto family = GridPartitionFamily::Create(pts, 8, 6);
   ASSERT_TRUE(family.ok());
@@ -225,7 +232,7 @@ TEST(McEngineEquivalence, EngineMatchesStatsLayerOracle) {
 // distribution: per-cell counts of i.i.d. Bernoulli labels are independent
 // binomials. Compare summary statistics of the two nulls (fixed seeds, so
 // this is deterministic, with tolerances far above Monte Carlo noise).
-TEST(McEngine, ClosedFormMatchesPointLevelDistributionally) {
+TEST(MonteCarloEngine, ClosedFormMatchesPointLevelDistributionally) {
   const auto pts = Cloud(41);
   auto family = GridPartitionFamily::Create(pts, 8, 6);
   ASSERT_TRUE(family.ok());
@@ -253,7 +260,7 @@ TEST(McEngine, ClosedFormMatchesPointLevelDistributionally) {
 
 // Closed-form sampling only applies where it is sound: families exposing a
 // cell decomposition, and only under the Bernoulli null.
-TEST(McEngine, CellDecompositionAvailability) {
+TEST(MonteCarloEngine, CellDecompositionAvailability) {
   const auto families = AllFamilies();
   for (const auto& [name, family] : families) {
     const bool has_cells = family->cell_decomposition() != nullptr;
@@ -271,7 +278,7 @@ TEST(McEngine, CellDecompositionAvailability) {
 
 // Identical options => identical distribution, run to run (the engine holds
 // no hidden mutable state; thread-local arenas never leak into results).
-TEST(McEngine, Reproducible) {
+TEST(MonteCarloEngine, Reproducible) {
   const auto families = AllFamilies();
   for (const auto& [name, family] : families) {
     MonteCarloOptions mc;

@@ -1,4 +1,5 @@
-// Tests for the multinomial scan statistic and the multi-class grid audit.
+// Tests for the multinomial scan statistic and multi-class audits over a
+// grid family.
 #include "stats/multinomial_scan.h"
 
 #include <gtest/gtest.h>
@@ -6,15 +7,17 @@
 #include <memory>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/random.h"
+#include "core/audit.h"
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/labels.h"
-#include "core/multiclass.h"
 #include "core/partitioning_family.h"
 #include "core/rectangle_sweep_family.h"
 #include "core/square_family.h"
 #include "geo/partitioning.h"
+#include "data/dataset.h"
 #include "stats/bernoulli_scan.h"
 
 namespace sfa {
@@ -71,21 +74,29 @@ TEST(MultinomialLlrDeathTest, RejectsEmptyAndMismatched) {
   EXPECT_DEATH(stats::MultinomialLogLikelihoodRatio({1}, {1, 2}), "classes");
 }
 
-core::MulticlassAuditOptions FastOptions() {
-  core::MulticlassAuditOptions opts;
-  opts.alpha = 0.01;
-  opts.grid_x = 6;
-  opts.grid_y = 6;
-  opts.monte_carlo.num_worlds = 199;
-  return opts;
+/// A multinomial audit of `classes` (one per leading point of `pts`) over a
+/// 6x6 grid family on all of `pts`, at alpha = 0.01 with 199 worlds.
+Result<core::AuditResult> AuditGrid(const std::vector<geo::Point>& pts,
+                                    const std::vector<uint8_t>& classes,
+                                    uint32_t num_classes) {
+  data::OutcomeDataset view("multiclass");
+  for (size_t i = 0; i < classes.size(); ++i) view.Add(pts[i], classes[i]);
+  SFA_ASSIGN_OR_RETURN(std::unique_ptr<core::GridPartitionFamily> family,
+                       core::GridPartitionFamily::Create(pts, 6, 6));
+  core::AuditOptions options;
+  options.alpha = 0.01;
+  options.statistic = core::StatisticKind::kMultinomial;
+  options.num_classes = num_classes;
+  options.monte_carlo.num_worlds = 199;
+  return core::Auditor(options).AuditView(view, *family);
 }
 
 TEST(MulticlassAudit, RejectsBadInputs) {
   const std::vector<geo::Point> pts = {{0, 0}, {1, 1}};
-  EXPECT_FALSE(core::AuditMulticlassGrid({}, {}, 3, FastOptions()).ok());
-  EXPECT_FALSE(core::AuditMulticlassGrid(pts, {0}, 3, FastOptions()).ok());
-  EXPECT_FALSE(core::AuditMulticlassGrid(pts, {0, 1}, 1, FastOptions()).ok());
-  EXPECT_FALSE(core::AuditMulticlassGrid(pts, {0, 5}, 3, FastOptions()).ok());
+  EXPECT_FALSE(AuditGrid({}, {}, 3).ok());
+  EXPECT_FALSE(AuditGrid(pts, {0}, 3).ok());  // view smaller than the family
+  EXPECT_FALSE(AuditGrid(pts, {0, 1}, 1).ok());
+  EXPECT_FALSE(AuditGrid(pts, {0, 5}, 3).ok());
 }
 
 TEST(MulticlassAudit, FairMixtureIsDeclaredFair) {
@@ -97,7 +108,7 @@ TEST(MulticlassAudit, FairMixtureIsDeclaredFair) {
     pts[i] = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
     classes[i] = static_cast<uint8_t>(rng.Categorical(mix));
   }
-  auto result = core::AuditMulticlassGrid(pts, classes, 3, FastOptions());
+  auto result = AuditGrid(pts, classes, 3);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->spatially_fair) << "p=" << result->p_value;
   EXPECT_NEAR(result->class_distribution[0], 0.5, 0.03);
@@ -117,7 +128,7 @@ TEST(MulticlassAudit, DetectsPlantedMixtureShift) {
                 : std::vector<double>{0.5, 0.3, 0.2};
     classes[i] = static_cast<uint8_t>(rng.Categorical(mix));
   }
-  auto result = core::AuditMulticlassGrid(pts, classes, 3, FastOptions());
+  auto result = AuditGrid(pts, classes, 3);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->spatially_fair);
   ASSERT_FALSE(result->findings.empty());
@@ -143,7 +154,7 @@ TEST(MulticlassAudit, BinaryCaseAgreesWithBinaryAuditDirectionally) {
     pts[i] = {rng.Uniform(0, 10), rng.Uniform(0, 10)};
     classes[i] = rng.Bernoulli(zone.Contains(pts[i]) ? 0.75 : 0.5) ? 1 : 0;
   }
-  auto result = core::AuditMulticlassGrid(pts, classes, 2, FastOptions());
+  auto result = AuditGrid(pts, classes, 2);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->spatially_fair);
 }
@@ -285,8 +296,8 @@ TEST(MulticlassAudit, DeterministicForSeed) {
     pts[i] = {rng.Uniform(0, 1), rng.Uniform(0, 1)};
     classes[i] = static_cast<uint8_t>(rng.NextUint64(4));
   }
-  auto a = core::AuditMulticlassGrid(pts, classes, 4, FastOptions());
-  auto b = core::AuditMulticlassGrid(pts, classes, 4, FastOptions());
+  auto a = AuditGrid(pts, classes, 4);
+  auto b = AuditGrid(pts, classes, 4);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->p_value, b->p_value);
   EXPECT_EQ(a->tau, b->tau);

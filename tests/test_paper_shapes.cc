@@ -7,6 +7,7 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "core/audit.h"
+#include "core/bernoulli_statistic.h"
 #include "core/evidence.h"
 #include "core/grid_family.h"
 #include "core/meanvar.h"
@@ -241,26 +242,27 @@ TEST(PaperShapes, Fig6ExtremeClustersAreNotEvidence) {
 
   core::MonteCarloOptions mc;
   mc.num_worlds = 199;
-  auto null_dist = core::SimulateNull(**family, 0.5, 500,
-                                      stats::ScanDirection::kTwoSided, mc);
+  const core::BernoulliScanStatistic null_statistic(
+      stats::ScanDirection::kTwoSided, 1000, 500);
+  auto null_dist = core::SimulateNull(null_statistic, **family, mc);
   ASSERT_TRUE(null_dist.ok());
 
   int with_cluster = 0, rejections = 0;
   const int worlds = 40;
-  std::vector<uint64_t> scratch;
+  core::AuditScratch scratch;
   for (int w = 0; w < worlds; ++w) {
     const core::Labels labels = core::Labels::SampleBernoulli(1000, 0.5, &rng);
-    std::vector<uint64_t> positives;
-    (*family)->CountPositives(labels, &positives);
+    const core::BernoulliScanStatistic statistic(
+        stats::ScanDirection::kTwoSided, 1000, labels.positive_count());
+    const core::ScanResult scan = statistic.ScanObserved(
+        **family, labels.bytes().data(), 1000, &scratch);
     for (size_t r = 0; r < (*family)->num_regions(); ++r) {
-      if ((*family)->PointCount(r) >= 5 && positives[r] == 0) {
+      if ((*family)->PointCount(r) >= 5 && scan.positives[r] == 0) {
         ++with_cluster;
         break;
       }
     }
-    const double tau = core::ScanMaxStatistic(
-        **family, labels, stats::ScanDirection::kTwoSided, &scratch);
-    if (null_dist->PValue(tau) <= 0.005) ++rejections;
+    if (null_dist->PValue(scan.max_llr) <= 0.005) ++rejections;
   }
   // Extreme-looking clusters are common in fair data...
   EXPECT_GT(with_cluster, worlds / 2);

@@ -6,8 +6,8 @@
 
 #include "common/random.h"
 #include "core/audit.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
-#include "core/scan.h"
 
 namespace sfa::core {
 namespace {
@@ -146,11 +146,15 @@ TEST(RectangleSweepFamily, FindsPlantedMultiCellRegion) {
   auto sweep = RectangleSweepFamily::Create(cloud.points, 8, 8);
   auto grid = GridPartitionFamily::Create(cloud.points, 8, 8);
   ASSERT_TRUE(sweep.ok() && grid.ok());
-  const Labels labels = Labels::FromBytes(cloud.labels);
-  const ScanResult sweep_scan =
-      ScanAllRegions(**sweep, labels, stats::ScanDirection::kTwoSided);
-  const ScanResult grid_scan =
-      ScanAllRegions(**grid, labels, stats::ScanDirection::kTwoSided);
+  uint64_t positives = 0;
+  for (uint8_t label : cloud.labels) positives += label;
+  const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                         cloud.labels.size(), positives);
+  AuditScratch scratch;
+  const ScanResult sweep_scan = statistic.ScanObserved(
+      **sweep, cloud.labels.data(), cloud.labels.size(), &scratch);
+  const ScanResult grid_scan = statistic.ScanObserved(
+      **grid, cloud.labels.data(), cloud.labels.size(), &scratch);
   EXPECT_GT(sweep_scan.max_llr, grid_scan.max_llr);
   // The argmax rectangle overlaps the planted zone.
   EXPECT_TRUE(

@@ -1,12 +1,12 @@
-// Tests for the scan pass: per-region LLRs, the max statistic, and the
-// equivalence of the full and max-only paths.
-#include "core/scan.h"
-
+// Tests for the observed Bernoulli scan pass: per-region LLRs, the max
+// statistic, and its agreement with the stats-layer LLR oracles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
 
 namespace sfa::core {
@@ -38,11 +38,36 @@ ScanWorld BiasedHalves(size_t per_side, double left_rate, double right_rate,
   return s;
 }
 
-TEST(ScanAllRegions, FindsThePlantedRegion) {
+/// The observed scan of `outcomes` through the Bernoulli statistic.
+ScanResult Scan(const RegionFamily& family, const std::vector<uint8_t>& outcomes,
+                stats::ScanDirection direction) {
+  uint64_t positives = 0;
+  for (uint8_t o : outcomes) positives += o;
+  const BernoulliScanStatistic statistic(direction, outcomes.size(), positives);
+  AuditScratch scratch;
+  return statistic.ScanObserved(family, outcomes.data(), outcomes.size(),
+                                &scratch);
+}
+
+/// Max Λ over the family's regions through a stats-layer LLR evaluator.
+template <typename Llr>
+double OracleMax(const RegionFamily& family, const ScanResult& scan, Llr llr) {
+  double max_llr = 0.0;
+  for (size_t r = 0; r < family.num_regions(); ++r) {
+    stats::ScanCounts counts;
+    counts.n = family.PointCount(r);
+    counts.p = scan.positives[r];
+    counts.total_n = scan.total_n;
+    counts.total_p = scan.total_p;
+    max_llr = std::max(max_llr, llr(counts));
+  }
+  return max_llr;
+}
+
+TEST(ScanObserved, FindsThePlantedRegion) {
   ScanWorld s = BiasedHalves(2000, 0.8, 0.2, 61);
-  const Labels labels = Labels::FromBytes(s.labels);
   const ScanResult result =
-      ScanAllRegions(*s.family, labels, stats::ScanDirection::kTwoSided);
+      Scan(*s.family, s.labels, stats::ScanDirection::kTwoSided);
   ASSERT_EQ(result.llr.size(), 2u);
   EXPECT_GT(result.max_llr, 100.0);  // enormous planted effect
   EXPECT_EQ(result.total_n, 4000u);
@@ -51,57 +76,54 @@ TEST(ScanAllRegions, FindsThePlantedRegion) {
   EXPECT_NEAR(result.llr[0], result.llr[1], 1e-9);
 }
 
-TEST(ScanAllRegions, ComplementaryRegionsHaveEqualLlr) {
+TEST(ScanObserved, ComplementaryRegionsHaveEqualLlr) {
   // In a 2-partition family, R and its complement split the data identically,
   // so the two-sided LLR must be symmetric.
   ScanWorld s = BiasedHalves(500, 0.9, 0.5, 62);
-  const Labels labels = Labels::FromBytes(s.labels);
   const ScanResult result =
-      ScanAllRegions(*s.family, labels, stats::ScanDirection::kTwoSided);
+      Scan(*s.family, s.labels, stats::ScanDirection::kTwoSided);
   EXPECT_NEAR(result.llr[0], result.llr[1], 1e-9);
 }
 
-TEST(ScanAllRegions, FairWorldHasSmallStatistic) {
+TEST(ScanObserved, FairWorldHasSmallStatistic) {
   ScanWorld s = BiasedHalves(2000, 0.5, 0.5, 63);
-  const Labels labels = Labels::FromBytes(s.labels);
   const ScanResult result =
-      ScanAllRegions(*s.family, labels, stats::ScanDirection::kTwoSided);
+      Scan(*s.family, s.labels, stats::ScanDirection::kTwoSided);
   // Two balanced halves of 2000: chance fluctuations yield small LLR values.
   EXPECT_LT(result.max_llr, 8.0);
 }
 
-TEST(ScanAllRegions, PositivesAreReported) {
+TEST(ScanObserved, PositivesAreReported) {
   ScanWorld s = BiasedHalves(100, 1.0, 0.0, 64);
-  const Labels labels = Labels::FromBytes(s.labels);
   const ScanResult result =
-      ScanAllRegions(*s.family, labels, stats::ScanDirection::kTwoSided);
+      Scan(*s.family, s.labels, stats::ScanDirection::kTwoSided);
   EXPECT_EQ(result.positives[0] + result.positives[1], result.total_p);
   EXPECT_EQ(result.total_p, 100u);
 }
 
-TEST(ScanMaxStatistic, AgreesWithFullScan) {
+TEST(ScanObserved, AgreesWithStdLogOracle) {
   ScanWorld s = BiasedHalves(1000, 0.7, 0.4, 65);
-  const Labels labels = Labels::FromBytes(s.labels);
   for (auto direction :
        {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
         stats::ScanDirection::kLow}) {
-    const ScanResult full = ScanAllRegions(*s.family, labels, direction);
-    std::vector<uint64_t> scratch;
-    const double max_only = ScanMaxStatistic(*s.family, labels, direction, &scratch);
-    // The table-free overload reassociates the log terms, so agreement is
-    // to rounding, not bitwise (the bitwise contract binds the table paths;
-    // see TableOverloadIsBitIdenticalToFullScan).
-    EXPECT_NEAR(full.max_llr, max_only, 1e-9 * (1.0 + std::fabs(full.max_llr)));
+    const ScanResult full = Scan(*s.family, s.labels, direction);
+    const double oracle =
+        OracleMax(*s.family, full, [&](const stats::ScanCounts& c) {
+          return stats::BernoulliLogLikelihoodRatio(c, direction);
+        });
+    // The std::log formula reassociates the log terms, so agreement is to
+    // rounding, not bitwise (the bitwise contract binds the table paths;
+    // see IsBitIdenticalToTableOracle).
+    EXPECT_NEAR(full.max_llr, oracle, 1e-9 * (1.0 + std::fabs(full.max_llr)));
   }
 }
 
-TEST(ScanMaxStatistic, DirectionalScansSplitTheSignal) {
+TEST(ScanObserved, DirectionalScansSplitTheSignal) {
   ScanWorld s = BiasedHalves(1500, 0.8, 0.3, 66);
-  const Labels labels = Labels::FromBytes(s.labels);
   const ScanResult high =
-      ScanAllRegions(*s.family, labels, stats::ScanDirection::kHigh);
+      Scan(*s.family, s.labels, stats::ScanDirection::kHigh);
   const ScanResult low =
-      ScanAllRegions(*s.family, labels, stats::ScanDirection::kLow);
+      Scan(*s.family, s.labels, stats::ScanDirection::kLow);
   // The left (rich) cell is the high signal, the right (poor) cell the low
   // signal. Each directional scan must pick its own side.
   EXPECT_EQ(high.argmax, 0u);
@@ -110,42 +132,40 @@ TEST(ScanMaxStatistic, DirectionalScansSplitTheSignal) {
   EXPECT_GT(low.max_llr, 0.0);
 }
 
-TEST(ScanMaxStatistic, TableOverloadIsBitIdenticalToFullScan) {
-  // The tie contract of the rank p-value: observed statistics (full scan)
-  // and table-driven evaluations of the same counts must agree bit-for-bit,
-  // not just to a tolerance — an ulp of daylight turns exact ties into
-  // coin flips (see scan.h).
+TEST(ScanObserved, IsBitIdenticalToTableOracle) {
+  // The tie contract of the rank p-value: observed statistics and
+  // table-driven evaluations of the same counts must agree bit-for-bit, not
+  // just to a tolerance — an ulp of daylight turns exact ties into coin
+  // flips (see ScanStatistic::ScanObserved).
   ScanWorld s = BiasedHalves(1000, 0.7, 0.4, 68);
-  const Labels labels = Labels::FromBytes(s.labels);
-  const stats::LogLikelihoodTable table(labels.size());
+  const stats::LogLikelihoodTable table(s.labels.size());
   for (auto direction :
        {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
         stats::ScanDirection::kLow}) {
-    const ScanResult full = ScanAllRegions(*s.family, labels, direction);
-    std::vector<uint64_t> scratch;
-    const double max_only =
-        ScanMaxStatistic(*s.family, labels, direction, &scratch, table);
-    EXPECT_EQ(full.max_llr, max_only);  // exact, no tolerance
+    const ScanResult full = Scan(*s.family, s.labels, direction);
+    const double oracle =
+        OracleMax(*s.family, full, [&](const stats::ScanCounts& c) {
+          return stats::BernoulliLogLikelihoodRatio(c, direction, table);
+        });
+    EXPECT_EQ(full.max_llr, oracle);  // exact, no tolerance
   }
 }
 
-TEST(ScanAllRegions, AllSameLabelGivesZeroStatistic) {
+TEST(ScanObserved, AllSameLabelGivesZeroStatistic) {
   ScanWorld s = BiasedHalves(100, 1.0, 1.0, 67);
-  const Labels labels = Labels::FromBytes(s.labels);
   const ScanResult result =
-      ScanAllRegions(*s.family, labels, stats::ScanDirection::kTwoSided);
+      Scan(*s.family, s.labels, stats::ScanDirection::kTwoSided);
   EXPECT_DOUBLE_EQ(result.max_llr, 0.0);
 }
 
-TEST(ScanAllRegions, EmptyRegionsScoreZero) {
+TEST(ScanObserved, EmptyRegionsScoreZero) {
   // 4x1 grid where only 2 cells hold points.
   std::vector<geo::Point> pts = {{0.1, 0.5}, {3.9, 0.5}};
   auto family =
       GridPartitionFamily::CreateWithExtent(pts, geo::Rect(0, 0, 4, 1), 4, 1);
   ASSERT_TRUE(family.ok());
-  const Labels labels = Labels::FromBytes({1, 0});
   const ScanResult result =
-      ScanAllRegions(**family, labels, stats::ScanDirection::kTwoSided);
+      Scan(**family, {1, 0}, stats::ScanDirection::kTwoSided);
   EXPECT_DOUBLE_EQ(result.llr[1], 0.0);
   EXPECT_DOUBLE_EQ(result.llr[2], 0.0);
 }

@@ -1,8 +1,8 @@
 // Tests of the pluggable ScanStatistic layer (core/scan_statistic.h):
 //
-//   * the Bernoulli statistic is a faithful re-seat of the legacy scan and
-//     Monte Carlo paths — byte-identical observed scans and null
-//     distributions against the pre-statistic-layer entry points;
+//   * the Bernoulli exact-tie contract: a null world scanned as an observed
+//     world scores bit-identically to the engine's evaluation of it, so the
+//     rank p-value counts it as a tie;
 //   * statistic-fingerprint keying: calibrations of different statistics
 //     (or differently-configured instances of one statistic) over the SAME
 //     family, N, and Monte Carlo options never collide;
@@ -25,7 +25,7 @@
 #include "core/grid_family.h"
 #include "core/knn_circle_family.h"
 #include "core/multinomial_statistic.h"
-#include "core/scan.h"
+#include "core/square_family.h"
 #include "core/significance.h"
 #include "stats/multinomial_scan.h"
 #include "testing_util.h"
@@ -61,51 +61,78 @@ MulticlassCity MakeMulticlassCity(uint64_t seed, size_t n,
   return city;
 }
 
-// ------------------------------------------------------- Bernoulli re-seat --
+// ------------------------------------------------- Bernoulli exact ties --
 
-TEST(BernoulliStatistic, ObservedScanMatchesLegacyScanBitForBit) {
-  const auto ds = MakeFairDataset(11, 600, 0.4);
-  auto family = GridPartitionFamily::Create(ds.locations(), 5, 4);
-  ASSERT_TRUE(family.ok());
-
-  const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
-                                         ds.size(), ds.PositiveCount());
-  AuditScratch scratch;
-  const ScanResult via_statistic = statistic.ScanObserved(
-      **family, ds.predicted().data(), ds.size(), &scratch);
-
-  const Labels labels = Labels::FromBytes(ds.predicted());
-  const ScanResult legacy =
-      ScanAllRegions(**family, labels, stats::ScanDirection::kTwoSided);
-
-  EXPECT_EQ(via_statistic.llr, legacy.llr);
-  EXPECT_EQ(via_statistic.positives, legacy.positives);
-  EXPECT_EQ(via_statistic.max_llr, legacy.max_llr);
-  EXPECT_EQ(via_statistic.argmax, legacy.argmax);
-  EXPECT_EQ(via_statistic.total_p, legacy.total_p);
-  EXPECT_TRUE(via_statistic.class_counts.empty());
+/// Families whose null worlds are drawn point by point (no cell
+/// decomposition), so a null world's labels can be rebuilt outside the
+/// engine: squares and kNN circles.
+std::vector<std::unique_ptr<RegionFamily>> PointLevelFamilies(
+    const std::vector<geo::Point>& pts) {
+  std::vector<std::unique_ptr<RegionFamily>> families;
+  Rng rng(5);
+  SquareScanOptions squares;
+  KnnCircleOptions circles;
+  for (int i = 0; i < 6; ++i) {
+    squares.centers.push_back({rng.Uniform(0, 3), rng.Uniform(0, 2)});
+    circles.centers.push_back({rng.Uniform(0, 3), rng.Uniform(0, 2)});
+  }
+  squares.side_lengths = SquareScanOptions::DefaultSideLengths(0.2, 1.5, 5);
+  auto square = SquareScanFamily::Create(pts, squares);
+  auto knn = KnnCircleFamily::Create(pts, circles);
+  EXPECT_TRUE(square.ok() && knn.ok());
+  families.push_back(std::move(*square));
+  families.push_back(std::move(*knn));
+  return families;
 }
 
-TEST(BernoulliStatistic, SimulateNullMatchesLegacyEntryPointBitForBit) {
-  const auto ds = MakeFairDataset(12, 500, 0.35);
-  auto family = GridPartitionFamily::Create(ds.locations(), 6, 6);
-  ASSERT_TRUE(family.ok());
+// The exact-tie contract of the rank p-value: null world w, rebuilt with the
+// engine's own RNG substream and scanned as an observed world, scores
+// bit-identically to the engine's evaluation of that world, so PValue
+// counts it as a tie (#{null >= observed} includes it).
+TEST(BernoulliStatistic, ObservedScanOfANullWorldTiesItExactly) {
+  const auto ds = MakeFairDataset(13, 800, 0.4);
+  const uint64_t n = ds.size();
+  MonteCarloOptions mc;
+  mc.num_worlds = 40;
+  mc.seed = 2718;
+  mc.closed_form_cells = false;  // pin point-level null sampling
+  for (const auto& family : PointLevelFamilies(ds.locations())) {
+    for (const stats::ScanDirection direction :
+         {stats::ScanDirection::kTwoSided, stats::ScanDirection::kHigh,
+          stats::ScanDirection::kLow}) {
+      SCOPED_TRACE(family->Name() + " / " +
+                   stats::ScanDirectionToString(direction));
+      const BernoulliScanStatistic view(direction, n, ds.PositiveCount());
+      const std::unique_ptr<StatisticSimulation> simulation =
+          view.MakeSimulation(*family, mc);
+      auto null = SimulateNull(view, *family, mc);
+      ASSERT_TRUE(null.ok()) << null.status();
 
-  for (const NullModel null_model :
-       {NullModel::kBernoulli, NullModel::kPermutation}) {
-    MonteCarloOptions mc;
-    mc.num_worlds = 120;
-    mc.seed = 77;
-    mc.null_model = null_model;
+      const Rng root(mc.seed);
+      AuditScratch scratch;
+      for (size_t w = 0; w < mc.num_worlds; ++w) {
+        Rng rng = root.Split(w);
+        const Labels labels = Labels::SampleBernoulli(n, view.rho(), &rng);
+        const BernoulliScanStatistic observed(direction, n,
+                                              labels.positive_count());
+        const double tau = observed
+                               .ScanObserved(*family, labels.bytes().data(),
+                                             n, &scratch)
+                               .max_llr;
+        ASSERT_EQ(tau, simulation->RunWorldReference(w)) << "world " << w;
 
-    const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
-                                           ds.size(), ds.PositiveCount());
-    auto via_statistic = SimulateNull(statistic, **family, mc);
-    auto legacy = SimulateNull(**family, ds.PositiveRate(), ds.PositiveCount(),
-                               stats::ScanDirection::kTwoSided, mc);
-    ASSERT_TRUE(via_statistic.ok() && legacy.ok());
-    EXPECT_EQ(via_statistic->MaximaVector(), legacy->MaximaVector())
-        << NullModelToString(null_model);
+        size_t greater = 0, ties = 0;
+        for (double m : null->sorted_max()) {
+          greater += m > tau ? 1 : 0;
+          ties += m == tau ? 1 : 0;
+        }
+        EXPECT_GE(ties, 1u) << "world " << w;
+        EXPECT_EQ(null->PValue(tau),
+                  static_cast<double>(1 + greater + ties) /
+                      static_cast<double>(mc.num_worlds + 1))
+            << "world " << w;
+      }
+    }
   }
 }
 
@@ -155,21 +182,6 @@ TEST(ScanStatisticKeying, DifferentStatisticsNeverCollide) {
       EXPECT_FALSE(keys[i] == keys[j]);
     }
   }
-}
-
-TEST(ScanStatisticKeying, LegacyBernoulliOverloadAgrees) {
-  const auto ds = MakeFairDataset(22, 300, 0.5);
-  auto family = GridPartitionFamily::Create(ds.locations(), 4, 4);
-  ASSERT_TRUE(family.ok());
-  const MonteCarloOptions mc;
-  const BernoulliScanStatistic statistic(stats::ScanDirection::kHigh,
-                                         ds.size(), ds.PositiveCount());
-  const CalibrationKey via_statistic =
-      MakeCalibrationKey(**family, statistic, mc);
-  const CalibrationKey legacy =
-      MakeCalibrationKey(**family, ds.size(), ds.PositiveCount(),
-                         stats::ScanDirection::kHigh, mc);
-  EXPECT_TRUE(via_statistic == legacy);
 }
 
 // ------------------------------------------------------------ multinomial --
@@ -256,21 +268,18 @@ TEST(MultinomialStatistic, EngineStrategiesBitIdentical) {
       reference.seed = 404;
       reference.null_model = null_model;
       reference.closed_form_cells = closed_form;
-      reference.engine = McEngine::kReference;
-      reference.parallel = false;
-      auto baseline = SimulateNull(**statistic, **family, reference);
-      ASSERT_TRUE(baseline.ok());
-      EXPECT_GT(baseline->sorted_max().front(), 0.0);
+      const NullDistribution baseline(
+          testing::RunReferenceWorlds(**statistic, **family, reference));
+      EXPECT_GT(baseline.sorted_max().front(), 0.0);
 
       for (const uint32_t batch_size : {1u, 3u, 16u}) {
         for (const bool parallel : {false, true}) {
           MonteCarloOptions batched = reference;
-          batched.engine = McEngine::kBatched;
           batched.batch_size = batch_size;
           batched.parallel = parallel;
           auto got = SimulateNull(**statistic, **family, batched);
           ASSERT_TRUE(got.ok());
-          EXPECT_EQ(got->MaximaVector(), baseline->MaximaVector())
+          EXPECT_EQ(got->MaximaVector(), baseline.MaximaVector())
               << NullModelToString(null_model) << " cf=" << closed_form
               << " batch=" << batch_size << " parallel=" << parallel;
         }

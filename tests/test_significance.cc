@@ -7,8 +7,8 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "core/bernoulli_statistic.h"
 #include "core/grid_family.h"
-#include "core/scan.h"
 
 namespace sfa::core {
 namespace {
@@ -198,17 +198,22 @@ std::unique_ptr<GridPartitionFamily> UniformFamily(size_t n, uint64_t seed,
   return std::move(*family);
 }
 
+/// The two-sided binary statistic over `family` with `positives` positives
+/// and an explicit null rate `rho`.
+BernoulliScanStatistic Bernoulli(const RegionFamily& family, uint64_t positives,
+                                 double rho) {
+  return BernoulliScanStatistic(stats::ScanDirection::kTwoSided,
+                                family.num_points(), positives, rho);
+}
+
 TEST(SimulateNull, RejectsBadOptions) {
   auto family = UniformFamily(100, 71);
   MonteCarloOptions opts;
   opts.num_worlds = 0;
-  EXPECT_FALSE(SimulateNull(*family, 0.5, 50, stats::ScanDirection::kTwoSided, opts)
-                   .ok());
+  EXPECT_FALSE(SimulateNull(Bernoulli(*family, 50, 0.5), *family, opts).ok());
   opts.num_worlds = 10;
-  EXPECT_FALSE(SimulateNull(*family, 1.5, 50, stats::ScanDirection::kTwoSided, opts)
-                   .ok());
-  EXPECT_FALSE(
-      SimulateNull(*family, 0.5, 200, stats::ScanDirection::kTwoSided, opts).ok());
+  EXPECT_FALSE(SimulateNull(Bernoulli(*family, 50, 1.5), *family, opts).ok());
+  EXPECT_FALSE(SimulateNull(Bernoulli(*family, 200, 0.5), *family, opts).ok());
 }
 
 TEST(SimulateNull, DeterministicAcrossParallelism) {
@@ -219,9 +224,8 @@ TEST(SimulateNull, DeterministicAcrossParallelism) {
   serial.parallel = false;
   MonteCarloOptions parallel = serial;
   parallel.parallel = true;
-  auto a = SimulateNull(*family, 0.4, 200, stats::ScanDirection::kTwoSided, serial);
-  auto b =
-      SimulateNull(*family, 0.4, 200, stats::ScanDirection::kTwoSided, parallel);
+  auto a = SimulateNull(Bernoulli(*family, 200, 0.4), *family, serial);
+  auto b = SimulateNull(Bernoulli(*family, 200, 0.4), *family, parallel);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->MaximaVector(), b->MaximaVector());
 }
@@ -231,9 +235,9 @@ TEST(SimulateNull, DifferentSeedsGiveDifferentDistributions) {
   MonteCarloOptions opts;
   opts.num_worlds = 20;
   opts.seed = 1;
-  auto a = SimulateNull(*family, 0.5, 250, stats::ScanDirection::kTwoSided, opts);
+  auto a = SimulateNull(Bernoulli(*family, 250, 0.5), *family, opts);
   opts.seed = 2;
-  auto b = SimulateNull(*family, 0.5, 250, stats::ScanDirection::kTwoSided, opts);
+  auto b = SimulateNull(Bernoulli(*family, 250, 0.5), *family, opts);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(a->MaximaVector(), b->MaximaVector());
 }
@@ -242,7 +246,7 @@ TEST(SimulateNull, NullMaximaArePositiveAndFinite) {
   auto family = UniformFamily(1000, 74);
   MonteCarloOptions opts;
   opts.num_worlds = 100;
-  auto dist = SimulateNull(*family, 0.62, 620, stats::ScanDirection::kTwoSided, opts);
+  auto dist = SimulateNull(Bernoulli(*family, 620, 0.62), *family, opts);
   ASSERT_TRUE(dist.ok());
   for (double v : dist->sorted_max()) {
     ASSERT_GT(v, 0.0);  // some cell always deviates a little
@@ -255,7 +259,7 @@ TEST(SimulateNull, PermutationNullWorksToo) {
   MonteCarloOptions opts;
   opts.num_worlds = 50;
   opts.null_model = NullModel::kPermutation;
-  auto dist = SimulateNull(*family, 0.5, 250, stats::ScanDirection::kTwoSided, opts);
+  auto dist = SimulateNull(Bernoulli(*family, 250, 0.5), *family, opts);
   ASSERT_TRUE(dist.ok());
   EXPECT_EQ(dist->num_worlds(), 50u);
 }
@@ -266,9 +270,9 @@ TEST(SimulateNull, BernoulliAndPermutationNullsAgreeRoughly) {
   MonteCarloOptions opts;
   opts.num_worlds = 199;
   opts.null_model = NullModel::kBernoulli;
-  auto bern = SimulateNull(*family, 0.5, 1000, stats::ScanDirection::kTwoSided, opts);
+  auto bern = SimulateNull(Bernoulli(*family, 1000, 0.5), *family, opts);
   opts.null_model = NullModel::kPermutation;
-  auto perm = SimulateNull(*family, 0.5, 1000, stats::ScanDirection::kTwoSided, opts);
+  auto perm = SimulateNull(Bernoulli(*family, 1000, 0.5), *family, opts);
   ASSERT_TRUE(bern.ok() && perm.ok());
   const double c_bern = bern->CriticalValue(0.05);
   const double c_perm = perm->CriticalValue(0.05);
@@ -283,17 +287,23 @@ TEST(SimulateNull, FairWorldsAreRarelySignificant) {
   MonteCarloOptions opts;
   opts.num_worlds = 99;
   opts.seed = 31;
-  auto dist = SimulateNull(*family, 0.5, 400, stats::ScanDirection::kTwoSided, opts);
+  auto dist = SimulateNull(Bernoulli(*family, 400, 0.5), *family, opts);
   ASSERT_TRUE(dist.ok());
 
   sfa::Rng rng(32);
   int significant = 0;
   const int trials = 60;
+  AuditScratch scratch;
   for (int trial = 0; trial < trials; ++trial) {
     const Labels labels = Labels::SampleBernoulli(800, 0.5, &rng);
-    std::vector<uint64_t> scratch;
+    const BernoulliScanStatistic statistic(stats::ScanDirection::kTwoSided,
+                                           labels.size(),
+                                           labels.positive_count());
     const double observed =
-        ScanMaxStatistic(*family, labels, stats::ScanDirection::kTwoSided, &scratch);
+        statistic
+            .ScanObserved(*family, labels.bytes().data(), labels.size(),
+                          &scratch)
+            .max_llr;
     if (dist->PValue(observed) <= 0.05) ++significant;
   }
   // Expect about 5% of 60 ≈ 3; allow generous slack.
@@ -307,17 +317,10 @@ TEST(NullModelToString, Names) {
                "conditional permutation");
 }
 
-TEST(McEngineToString, Names) {
-  EXPECT_STREQ(McEngineToString(McEngine::kBatched), "batched");
-  EXPECT_STREQ(McEngineToString(McEngine::kReference), "per-world reference");
-}
-
 TEST(EnumToString, NamesAreDistinct) {
   // Reports embed these strings; two enum values must never render alike.
   EXPECT_STRNE(NullModelToString(NullModel::kBernoulli),
                NullModelToString(NullModel::kPermutation));
-  EXPECT_STRNE(McEngineToString(McEngine::kBatched),
-               McEngineToString(McEngine::kReference));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "common/failpoint.h"
 #include "common/macros.h"
 #include "core/audit_pipeline.h"
+#include "core/bernoulli_statistic.h"
 #include "core/calibration_store.h"
 #include "core/grid_family.h"
 #include "testing_util.h"
@@ -80,17 +81,19 @@ struct FaultFixture {
     }
   }
 
+  BernoulliScanStatistic Statistic() const {
+    return BernoulliScanStatistic(requests[0].options.direction, city.size(),
+                                  city.PositiveCount());
+  }
+
   CalibrationKey Key() const {
-    return MakeCalibrationKey(*family, city.size(), city.PositiveCount(),
-                              requests[0].options.direction,
+    return MakeCalibrationKey(*family, Statistic(),
                               requests[0].options.monte_carlo);
   }
 
   NullDistribution Calibration() const {
-    auto simulated = SimulateNull(*family, city.PositiveRate(),
-                                  city.PositiveCount(),
-                                  requests[0].options.direction,
-                                  requests[0].options.monte_carlo);
+    auto simulated =
+        SimulateNull(Statistic(), *family, requests[0].options.monte_carlo);
     SFA_CHECK_OK(simulated.status());
     return std::move(simulated).value();
   }

@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/macros.h"
 #include "common/random.h"
@@ -106,6 +107,21 @@ inline void ExpectIdenticalResult(const AuditResult& a, const AuditResult& b,
     EXPECT_EQ(a.findings[i].n, b.findings[i].n);
     EXPECT_EQ(a.findings[i].p, b.findings[i].p);
   }
+}
+
+/// Max statistics of worlds [0, options.num_worlds) in world order, one world
+/// at a time through StatisticSimulation::RunWorldReference (fresh buffers,
+/// scalar counting) — the oracle the batched engine must match bit for bit.
+inline std::vector<double> RunReferenceWorlds(const ScanStatistic& statistic,
+                                              const RegionFamily& family,
+                                              const MonteCarloOptions& options) {
+  const std::unique_ptr<StatisticSimulation> simulation =
+      statistic.MakeSimulation(family, options);
+  std::vector<double> maxima(options.num_worlds);
+  for (size_t w = 0; w < maxima.size(); ++w) {
+    maxima[w] = simulation->RunWorldReference(w);
+  }
+  return maxima;
 }
 
 }  // namespace sfa::core::testing
